@@ -1,20 +1,19 @@
-(* The compiled-kernel study: sweeps/sec of the legacy pointer-chasing
-   Fast_gibbs sampler vs the compiled flat CSR kernel (Dd_inference.Compiled)
-   on the Fig-KBC (News) factor graph, at 1/2/4/8 domains.
+(* The compiled-kernel study: sweeps/sec of the naive pointer-graph
+   Gibbs sampler (the [dd_oracle] test oracle) vs the compiled flat CSR
+   kernel (Dd_inference.Compiled) on the Fig-KBC (News) factor graph, at
+   1/2/4/8 domains.
 
-   The legacy path is the pre-kernel implementation kept alive as
-   [Fast_gibbs.create_legacy]: per-variable occurrence records grouped by
-   factor, chased through the boxed graph structure.  The compiled path
-   samples over contiguous int/float arrays (the DimmWitted-style layout).
-   Both draw bit-identical sample sequences per seed at domains=1, which
-   this experiment re-checks before timing, so the speedup is layout and
-   allocation, not a different chain. *)
+   The naive path recomputes every adjacent factor's energy from the boxed
+   graph structure for each conditional.  The compiled path keeps
+   satisfied-body counters and samples over contiguous int/float arrays
+   (the DimmWitted-style layout).  Both draw identical sample sequences
+   per seed at domains=1, which this experiment re-checks before timing,
+   so the speedup is layout and algorithm, not a different chain. *)
 
 open Harness
 module Graph = Dd_fgraph.Graph
 module Semantics = Dd_fgraph.Semantics
-module Gibbs = Dd_inference.Gibbs
-module Fast_gibbs = Dd_inference.Fast_gibbs
+module Naive_gibbs = Dd_oracle.Naive_gibbs
 module Compiled = Dd_inference.Compiled
 module Par_gibbs = Dd_parallel.Par_gibbs
 module Partition = Dd_parallel.Partition
@@ -24,11 +23,11 @@ module Stats = Dd_util.Stats
 
 let domain_counts = [ 1; 2; 4; 8 ]
 
-(* A faithful replica of the pre-PR Fast_gibbs sampler, kept here as the
-   benchmark's historical baseline: per-variable occurrence *lists*, and a
-   fresh [Hashtbl] allocated inside every conditional to group them by
-   factor (the allocation this PR's satellite fix removed from the library
-   sampler).  Only what the sweep loop needs is reproduced. *)
+(* A faithful replica of the counter-based sampler as it was before the
+   compiled kernel existed, kept here as the benchmark's historical
+   baseline: per-variable occurrence *lists*, and a fresh [Hashtbl]
+   allocated inside every conditional to group them by factor.  Only what
+   the sweep loop needs is reproduced. *)
 module Pre_pr = struct
   type occurrence = { factor : int; body : int; negated : bool }
 
@@ -142,7 +141,7 @@ module Pre_pr = struct
 end
 
 let pre_pr_sweep_rate ~sweeps g =
-  let init = Gibbs.init_assignment (Prng.create 53) g in
+  let init = Naive_gibbs.init_assignment (Prng.create 53) g in
   let state = Pre_pr.create ~init g in
   let rng = Prng.create 54 in
   for _ = 1 to 5 do
@@ -156,52 +155,39 @@ let pre_pr_sweep_rate ~sweeps g =
   in
   float_of_int sweeps /. secs
 
-(* One legacy color-synchronous sweep: how the parallel sampler drove the
-   pointer-chasing state before the kernel existed.  Same-color variables
-   share no factor, so concurrent slices touch disjoint cells. *)
-let legacy_sweep_rate ~sweeps g d =
-  let init = Gibbs.init_assignment (Prng.create 53) g in
-  let state = Fast_gibbs.create_legacy ~init (Prng.create 53) g in
-  if d = 1 then begin
-    let rng = Prng.create 54 in
+(* The naive oracle, sequential at d = 1 and color-synchronous above:
+   same-color variables share no factor, so concurrent slices read only
+   cells no other slice writes. *)
+let naive_sweep_rate ~sweeps g d =
+  let a = Naive_gibbs.init_assignment (Prng.create 53) g in
+  let rng = Prng.create 54 in
+  let timed sweep =
     for _ = 1 to 5 do
-      Fast_gibbs.sweep rng state
+      sweep ()
     done;
     let secs =
       time_median ~repeats:3 (fun () ->
           for _ = 1 to sweeps do
-            Fast_gibbs.sweep rng state
+            sweep ()
           done)
     in
     float_of_int sweeps /. secs
-  end
+  in
+  if d = 1 then timed (fun () -> Naive_gibbs.sweep rng g a)
   else begin
-    let partition = Partition.color g in
-    let plan = Partition.slices partition ~domains:d in
-    let rng = Prng.create 54 in
+    let plan = Partition.slices (Partition.color g) ~domains:d in
     let rngs = Array.init d (fun _ -> Prng.split rng) in
     let pool = Pool.create d in
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
       (fun () ->
-        let sweep () =
-          Array.iter
-            (fun phase ->
-              Pool.run pool (fun dd ->
-                  if dd < Array.length phase then
-                    Array.iter (Fast_gibbs.resample_var rngs.(dd) state) phase.(dd)))
-            plan
-        in
-        for _ = 1 to 5 do
-          sweep ()
-        done;
-        let secs =
-          time_median ~repeats:3 (fun () ->
-              for _ = 1 to sweeps do
-                sweep ()
-              done)
-        in
-        float_of_int sweeps /. secs)
+        timed (fun () ->
+            Array.iter
+              (fun phase ->
+                Pool.run pool (fun dd ->
+                    if dd < Array.length phase then
+                      Array.iter (Naive_gibbs.resample_var rngs.(dd) g a) phase.(dd)))
+              plan))
   end
 
 let compiled_sweep_rate ~sweeps ~kernel g d =
@@ -221,20 +207,22 @@ let compiled_sweep_rate ~sweeps ~kernel g d =
       float_of_int sweeps /. secs)
 
 (* Bit-exactness spot check at domains=1: both samplers from one seed
-   must produce identical assignments after identical sweeps. *)
+   must produce identical assignments after every sweep. *)
 let check_bit_exact g =
-  let init = Gibbs.init_assignment (Prng.create 7) g in
-  let compiled = Fast_gibbs.create ~init (Prng.create 1) g in
-  let legacy = Fast_gibbs.create_legacy ~init:(Array.copy init) (Prng.create 1) g in
-  let rng_c = Prng.create 8 and rng_l = Prng.create 8 in
+  let init = Naive_gibbs.init_assignment (Prng.create 7) g in
+  let compiled = Compiled.make_state ~init (Prng.create 1) (Compiled.compile g) in
+  let naive = Array.copy init in
+  let rng_c = Prng.create 8 and rng_n = Prng.create 8 in
+  let ok = ref true in
   for _ = 1 to 5 do
-    Fast_gibbs.sweep rng_c compiled;
-    Fast_gibbs.sweep rng_l legacy
+    Compiled.sweep rng_c compiled;
+    Naive_gibbs.sweep rng_n g naive;
+    if Compiled.snapshot compiled <> naive then ok := false
   done;
-  Fast_gibbs.assignment compiled = Fast_gibbs.assignment legacy
+  !ok
 
 let run ~full =
-  section "Gibbs kernel: compiled CSR arrays vs pointer-chasing sampler";
+  section "Gibbs kernel: compiled CSR arrays vs naive pointer-graph sampler";
   let g = fig_kbc_graph ~full in
   let kernel = Compiled.compile g in
   let queries = Compiled.num_query kernel in
@@ -245,42 +233,42 @@ let run ~full =
   metric "factors" (float_of_int (Graph.num_factors g));
   metric "recommended_domains" (float_of_int (Pool.recommended ()));
   let exact = check_bit_exact g in
-  note "bit-exact with legacy sampler at domains=1: %s" (if exact then "yes" else "NO");
+  note "bit-exact with the naive oracle at domains=1: %s" (if exact then "yes" else "NO");
   metric "bit_exact_1d" (if exact then 1.0 else 0.0);
   let sweeps = if full then 300 else 100 in
   let pre_pr = pre_pr_sweep_rate ~sweeps g in
   metric "pre_pr_sweeps_per_sec_1d" pre_pr;
   let table =
     Dd_util.Table.create
-      [ "domains"; "pre-PR s/s"; "grouped s/s"; "compiled s/s"; "vs pre-PR"; "vs grouped" ]
+      [ "domains"; "pre-kernel s/s"; "naive s/s"; "compiled s/s"; "vs pre-kernel"; "vs naive" ]
   in
   List.iter
     (fun d ->
-      let legacy = legacy_sweep_rate ~sweeps g d in
+      let naive = naive_sweep_rate ~sweeps g d in
       let compiled = compiled_sweep_rate ~sweeps ~kernel g d in
-      metric (Printf.sprintf "legacy_sweeps_per_sec_%dd" d) legacy;
+      metric (Printf.sprintf "naive_sweeps_per_sec_%dd" d) naive;
       metric (Printf.sprintf "compiled_sweeps_per_sec_%dd" d) compiled;
       if d = 1 then metric "speedup_1d" (compiled /. pre_pr);
-      metric (Printf.sprintf "speedup_grouped_%dd" d) (compiled /. legacy);
+      metric (Printf.sprintf "speedup_naive_%dd" d) (compiled /. naive);
       Dd_util.Table.add_row table
         [
           string_of_int d;
           (if d = 1 then Printf.sprintf "%.1f" pre_pr else "-");
-          Printf.sprintf "%.1f" legacy;
+          Printf.sprintf "%.1f" naive;
           Printf.sprintf "%.1f" compiled;
           (if d = 1 then Dd_util.Table.cell_x (compiled /. pre_pr) else "-");
-          Dd_util.Table.cell_x (compiled /. legacy);
+          Dd_util.Table.cell_x (compiled /. naive);
         ])
     domain_counts;
   Dd_util.Table.print table;
   note
-    "(pre-PR = the historical sampler with a Hashtbl allocated per\n\
-     conditional; grouped = today's Fast_gibbs.create_legacy, occurrences\n\
-     grouped by factor at creation; compiled = the flat CSR kernel.  The\n\
-     domains=1 rows are the pure layout win — same chain, same draws;\n\
-     multi-domain rows add color-synchronous scheduling on both sides.\n\
-     Sweeps timed: %d.)"
+    "(pre-kernel = the historical counter-based sampler with a Hashtbl\n\
+     allocated per conditional; naive = the dd_oracle test sampler, whole\n\
+     adjacent factors re-evaluated per conditional; compiled = the flat\n\
+     CSR kernel.  The domains=1 rows compare one chain with the same\n\
+     draws; multi-domain rows add color-synchronous scheduling on both\n\
+     sides.  Sweeps timed: %d.)"
     sweeps
 
 let () =
-  register "gibbs-kernel" "Dd_inference: compiled flat kernel vs legacy sampler" run
+  register "gibbs-kernel" "Dd_inference: compiled flat kernel vs naive oracle sampler" run

@@ -4,7 +4,6 @@
 
 module Graph = Dd_fgraph.Graph
 module Semantics = Dd_fgraph.Semantics
-module Gibbs = Dd_inference.Gibbs
 module Metropolis = Dd_inference.Metropolis
 module Prng = Dd_util.Prng
 module Timer = Dd_util.Timer

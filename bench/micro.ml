@@ -1,46 +1,37 @@
 (* Bechamel micro-benchmarks for the hot kernels underneath every
-   experiment: factor-energy evaluation, a Gibbs sweep, an indexed join,
-   and a DRed delta application. *)
+   experiment: factor-energy evaluation and one Gibbs sweep, on the
+   compiled kernel and on the naive oracle sampler it replaced. *)
 
 open Harness
 module Graph = Dd_fgraph.Graph
-module Gibbs = Dd_inference.Gibbs
+module Naive_gibbs = Dd_oracle.Naive_gibbs
+module Compiled = Dd_inference.Compiled
 module Prng = Dd_util.Prng
-module Value = Dd_relational.Value
-module Schema = Dd_relational.Schema
-module Relation = Dd_relational.Relation
-module Algebra = Dd_relational.Algebra
 open Bechamel
 open Toolkit
 
-let gibbs_sweep_test =
+let naive_sweep_test =
   let rng = Prng.create 51 in
   let g = synthetic_graph rng 200 in
-  let assignment = Gibbs.init_assignment rng g in
-  Test.make ~name:"gibbs sweep (200 vars)" (Staged.stage (fun () -> Gibbs.sweep rng g assignment))
+  let assignment = Naive_gibbs.init_assignment rng g in
+  Test.make ~name:"naive sweep (200 vars)"
+    (Staged.stage (fun () -> Naive_gibbs.sweep rng g assignment))
+
+let compiled_sweep_test =
+  let rng = Prng.create 51 in
+  let g = synthetic_graph rng 200 in
+  let st = Compiled.make_state rng (Compiled.compile g) in
+  Test.make ~name:"compiled sweep (200 vars)"
+    (Staged.stage (fun () -> Compiled.sweep rng st))
 
 let total_energy_test =
   let rng = Prng.create 52 in
   let g = synthetic_graph rng 200 in
-  let assignment = Gibbs.init_assignment rng g in
+  let assignment = Naive_gibbs.init_assignment rng g in
   Test.make ~name:"total energy (200 vars)"
     (Staged.stage (fun () -> ignore (Graph.total_energy g (fun v -> assignment.(v)))))
 
-let join_test =
-  let schema = Schema.make [ ("a", Value.TInt); ("b", Value.TInt) ] in
-  let rng = Prng.create 53 in
-  let rel names =
-    let r = Relation.create ~name:names schema in
-    for _ = 1 to 2000 do
-      Relation.insert r [| Value.Int (Prng.int_below rng 300); Value.Int (Prng.int_below rng 300) |]
-    done;
-    r
-  in
-  let left = rel "l" and right = Algebra.rename (rel "r") [ ("a", "b"); ("b", "c") ] in
-  Test.make ~name:"natural join (2k x 2k)"
-    (Staged.stage (fun () -> ignore (Algebra.natural_join left right)))
-
-let benchmarks () = [ gibbs_sweep_test; total_energy_test; join_test ]
+let benchmarks () = [ naive_sweep_test; compiled_sweep_test; total_energy_test ]
 
 let run_micro ~full:_ =
   section "Micro-benchmarks (Bechamel)";

@@ -10,7 +10,7 @@
 
 open Harness
 module Graph = Dd_fgraph.Graph
-module Fast_gibbs = Dd_inference.Fast_gibbs
+module Compiled = Dd_inference.Compiled
 module Par_gibbs = Dd_parallel.Par_gibbs
 module Partition = Dd_parallel.Partition
 module Pool = Dd_parallel.Pool
@@ -36,7 +36,7 @@ let run ~full =
       [ "domains"; "sweep s/s"; "speedup"; "chain worlds/s"; "c-speedup"; "maxdiff vs seq" ]
   in
   (* Sequential reference marginals for the agreement column. *)
-  let reference = Fast_gibbs.marginals ~burn_in:20 (Prng.create 53) g ~sweeps in
+  let reference = Compiled.marginals ~burn_in:20 (Prng.create 53) (Compiled.compile g) ~sweeps in
   let base_sweep = ref 0.0 and base_chain = ref 0.0 in
   List.iter
     (fun d ->

@@ -93,4 +93,5 @@ val variational_infer :
   float array
 (** Apply the update to (a copy of) the approximate graph — importing new
     variables, evidence, new factors and extension bodies with their current
-    weights — and estimate marginals by Gibbs sampling on the result. *)
+    weights — then compile the result once and estimate marginals with
+    {!Dd_inference.Compiled.marginals}. *)

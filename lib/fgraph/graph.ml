@@ -222,23 +222,14 @@ let evidence_vars t =
 let body_satisfied assignment body =
   Array.for_all (fun l -> assignment l.var <> l.negated) body
 
-let satisfied_bodies assignment f =
-  Array.fold_left
-    (fun acc body -> if body_satisfied assignment body then acc + 1 else acc)
-    0 f.bodies
-
-let factor_energy t f assignment =
-  let n = satisfied_bodies assignment f in
-  let sign =
-    match f.head with
-    | None -> 1.0
-    | Some h -> if assignment h then 1.0 else -1.0
+let factor_energy_at ~weight ?bodies f assignment =
+  let k =
+    match bodies with
+    | None -> Array.length f.bodies
+    | Some k -> min k (Array.length f.bodies)
   in
-  weight_value t f.weight_id *. sign *. Semantics.g f.semantics n
-
-let factor_energy_prefix t f assignment k =
   let n = ref 0 in
-  for b = 0 to min k (Array.length f.bodies) - 1 do
+  for b = 0 to k - 1 do
     if body_satisfied assignment f.bodies.(b) then incr n
   done;
   let sign =
@@ -246,7 +237,10 @@ let factor_energy_prefix t f assignment k =
     | None -> 1.0
     | Some h -> if assignment h then 1.0 else -1.0
   in
-  weight_value t f.weight_id *. sign *. Semantics.g f.semantics !n
+  weight *. sign *. Semantics.g f.semantics !n
+
+let factor_energy t f assignment =
+  factor_energy_at ~weight:(weight_value t f.weight_id) f assignment
 
 let total_energy t assignment =
   let acc = ref 0.0 in
@@ -278,6 +272,8 @@ let journal_begin t =
   j
 
 let journal_end t = t.journal <- None
+
+let journal_length j = List.length j.entries
 
 let vec_truncate v n =
   if n < v.len then begin

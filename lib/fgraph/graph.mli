@@ -102,10 +102,11 @@ val evidence_vars : t -> (var * bool) list
 val factor_energy : t -> factor -> (var -> bool) -> float
 (** [w * sign(head) * g(#satisfied bodies)] under the assignment. *)
 
-val factor_energy_prefix : t -> factor -> (var -> bool) -> int -> float
-(** Energy of the factor as if it only had its first [k] bodies — the
-    pre-extension energy needed when incremental grounding appended
-    groundings to an existing factor. *)
+val factor_energy_at : weight:float -> ?bodies:int -> factor -> (var -> bool) -> float
+(** [weight * sign(head) * g(#satisfied bodies)] at an explicit weight
+    value, counting only the first [bodies] bodies when given — the
+    pre-change energy of a factor whose weight moved or that gained
+    groundings, computed without touching the graph. *)
 
 val total_energy : t -> (var -> bool) -> float
 (** Sum of factor energies: the log-unnormalized probability [W(F, I)]. *)
@@ -127,6 +128,9 @@ val journal_begin : t -> journal
 
 val journal_end : t -> unit
 (** Stop recording (commit: the journal is simply dropped). *)
+
+val journal_length : journal -> int
+(** Number of undo entries logged so far (appends log none). *)
 
 val rollback : t -> journal -> unit
 (** Restore the graph to its state at [journal_begin] and stop recording.

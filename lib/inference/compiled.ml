@@ -16,7 +16,7 @@ let sem_tag = function
   | Semantics.Ratio -> sem_ratio
 
 (* Must compute exactly what [Semantics.g] computes (bit-exactness with
-   the legacy sampler depends on it). *)
+   the naive pointer-graph sampler depends on it). *)
 let g_of tag n =
   if tag = sem_linear then float_of_int n
   else if tag = sem_logical then if n > 0 then 1.0 else 0.0
@@ -276,8 +276,7 @@ let make_state ?init rng k =
    for [v], accumulated tail-recursively so the hot loop allocates
    nothing.  A literal of [v] is satisfied under hypothetical [x] iff
    [x <> neg], i.e. iff [neg = neg_sat] with [neg_sat = not x].  The
-   counts are integers, so their accumulation order is irrelevant for
-   bit-exactness with the legacy sampler. *)
+   counts are integers, so their accumulation order is irrelevant. *)
 let rec n_under k st v_cur neg_sat o last n =
   if o > last then n
   else begin
@@ -310,9 +309,9 @@ let conditional_true_prob st v =
     let w = Array.unsafe_get k.weights (Array.unsafe_get k.f_weight fid) in
     let sem = Array.unsafe_get k.f_sem fid in
     let h = Array.unsafe_get k.f_head fid in
-    (* The float expression mirrors the legacy sampler's
-       [w *. sign *. g(sem, n)] and [acc +. e_true -. e_false] exactly,
-       keeping the two paths bit-identical. *)
+    (* Per-factor [w *. sign *. g(sem, n)] under both values, summed as
+       [acc +. e_true -. e_false]; the async conditional below repeats
+       this expression exactly so the two stay bit-identical. *)
     let sign_true =
       if h < 0 || h = v then 1.0
       else if Bytes.unsafe_get st.assign h <> '\000' then 1.0
@@ -502,6 +501,40 @@ let marginals ?(burn_in = 10) ?(budget = Budget.unlimited) rng k ~sweeps =
     accumulate_true st totals
   done;
   Array.map (fun c -> float_of_int c /. float_of_int (max 1 sweeps)) totals
+
+let sample_worlds ?(burn_in = 10) ?(spacing = 1) ?(budget = Budget.unlimited) rng k ~n =
+  let st = make_state rng k in
+  for _ = 1 to burn_in do
+    Budget.check budget "compiled.burn_in_sweep";
+    sweep rng st
+  done;
+  Array.init n (fun _ ->
+      for _ = 1 to spacing do
+        Budget.check budget "compiled.sweep";
+        sweep rng st
+      done;
+      snapshot st)
+
+let sweeps_to_converge ?(tolerance = 0.01) ?(max_sweeps = 100_000) ?(check_every = 10) rng k
+    ~target_var ~target_prob =
+  let st = make_state rng k in
+  let trues = ref 0 and total = ref 0 in
+  let converged_at = ref None in
+  (try
+     for i = 1 to max_sweeps do
+       sweep rng st;
+       if value st target_var then incr trues;
+       incr total;
+       if i mod check_every = 0 then begin
+         let estimate = float_of_int !trues /. float_of_int !total in
+         if abs_float (estimate -. target_prob) <= tolerance then begin
+           converged_at := Some i;
+           raise Exit
+         end
+       end
+     done
+   with Exit -> ());
+  !converged_at
 
 let add_feature_counts st ~scale grad =
   let k = st.k in

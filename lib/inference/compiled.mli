@@ -27,15 +27,19 @@
     time; {!refresh_weights} re-reads them from the graph, which is the
     cheap "recompile" path when learning moved weights but the structure
     did not change.  A packed query-variable array replaces the
-    per-variable evidence branch of the legacy sweep.
+    per-variable evidence branch of a pointer-graph sweep.
+
+    This is the only Gibbs kernel in the library: {!marginals},
+    {!sample_worlds} and {!sweeps_to_converge} are the sequential
+    entry points, and [Dd_parallel.Par_gibbs] runs the same state on
+    several domains.
 
     Determinism contract: for a given [(seed, graph)], {!sweep} draws
-    from the PRNG in exactly the order and count of the legacy
-    {!Fast_gibbs} sweep (ascending variable id over query variables, one
-    Bernoulli draw each), and the conditional probability is computed
-    with bit-identical floating-point operations to the legacy grouped
-    path, so trajectories agree bit-for-bit per seed (asserted by
-    tests). *)
+    from the PRNG in exactly the order and count of the naive
+    pointer-graph sweep kept as a test oracle (ascending variable id over
+    query variables, one Bernoulli draw each), and its conditionals agree
+    with {!Gibbs.conditional_true_prob} up to floating-point
+    reassociation, so trajectories agree per seed (asserted by tests). *)
 
 module Graph = Dd_fgraph.Graph
 
@@ -200,11 +204,43 @@ val rebuild_counters : state -> unit
     the "merge on demand" that re-validates the counter caches after any
     number of async sweeps.  O(total literals). *)
 
+(** {1 Sequential chains} *)
+
 val marginals :
   ?burn_in:int -> ?budget:Dd_util.Budget.t -> Dd_util.Prng.t -> t -> sweeps:int -> float array
-(** Fresh-state marginals; drop-in for {!Fast_gibbs.marginals}.  [budget]
-    is polled once per sweep (burn-in included); exhaustion raises
+(** Fresh-state marginals: [burn_in] (default 10) sweeps, then the
+    fraction of [sweeps] sweeps in which each variable was true
+    (evidence variables report their clamped value).  [budget] is polled
+    once per sweep (burn-in included); exhaustion raises
     {!Dd_util.Budget.Exceeded} instead of finishing the chain. *)
+
+val sample_worlds :
+  ?burn_in:int ->
+  ?spacing:int ->
+  ?budget:Dd_util.Budget.t ->
+  Dd_util.Prng.t ->
+  t ->
+  n:int ->
+  bool array array
+(** Draw [n] worlds from one fresh chain, [spacing] (default 1) sweeps
+    apart after [burn_in] (default 10) — the sample store of the sampling
+    approach to incremental inference.  [budget] is polled once per
+    sweep. *)
+
+val sweeps_to_converge :
+  ?tolerance:float ->
+  ?max_sweeps:int ->
+  ?check_every:int ->
+  Dd_util.Prng.t ->
+  t ->
+  target_var:Graph.var ->
+  target_prob:float ->
+  int option
+(** Number of sweeps until the running-mean estimate of [target_var]'s
+    marginal is within [tolerance] (default 0.01) of [target_prob] at a
+    check every [check_every] (default 10) sweeps; [None] if [max_sweeps]
+    (default 100_000) is exhausted.  Used by the convergence experiments
+    of Figure 13. *)
 
 (** {1 Learning support} *)
 

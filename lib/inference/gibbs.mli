@@ -1,54 +1,21 @@
-(** Gibbs sampling over factor graphs.
+(** Per-variable Gibbs primitives over the pointer graph.
 
-    The workhorse of both inference and learning, as in the paper
-    (Section 2.5): visit each query variable, resample it from its
-    conditional given the rest, estimate marginals by averaging.  Evidence
-    variables stay clamped. *)
+    The sampling loops run on the compiled kernel ({!Compiled}); what
+    stays here are the three primitives that work on a plain
+    [bool array] world: the initial world every chain starts from, and
+    one conditional / one resample of a single variable (the restricted
+    new-variable sweep of {!Metropolis}).  The naive whole-graph loops
+    built on them live in the [dd_oracle] test library. *)
 
 module Graph = Dd_fgraph.Graph
+
+val init_assignment : Dd_util.Prng.t -> Graph.t -> bool array
+(** Random initial world: evidence clamped, query variables uniform (one
+    PRNG draw per query variable, ascending). *)
 
 val conditional_true_prob : Graph.t -> bool array -> Graph.var -> float
 (** [P(v = true | rest)] — computed from the energy difference of the
     factors adjacent to [v] only. *)
 
 val resample_var : Dd_util.Prng.t -> Graph.t -> bool array -> Graph.var -> unit
-
-val sweep : Dd_util.Prng.t -> Graph.t -> bool array -> unit
-(** One pass resampling every query variable in order. *)
-
-val init_assignment : Dd_util.Prng.t -> Graph.t -> bool array
-(** Random initial world: evidence clamped, query variables uniform. *)
-
-val run :
-  ?burn_in:int ->
-  ?init:bool array ->
-  Dd_util.Prng.t ->
-  Graph.t ->
-  sweeps:int ->
-  on_sweep:(int -> bool array -> unit) ->
-  unit
-(** Burn in, then call [on_sweep] after each of [sweeps] sweeps with the
-    current world (not copied — copy if retained). *)
-
-val marginals : ?burn_in:int -> Dd_util.Prng.t -> Graph.t -> sweeps:int -> float array
-(** Estimated marginal of every variable (evidence variables report their
-    clamped value). *)
-
-val sample_worlds :
-  ?burn_in:int -> ?spacing:int -> Dd_util.Prng.t -> Graph.t -> n:int -> bool array array
-(** Draw [n] worlds, [spacing] sweeps apart (default 1); the tuple-bundle
-    materialization of the sampling approach stores exactly this. *)
-
-val sweeps_to_converge :
-  ?tolerance:float ->
-  ?max_sweeps:int ->
-  ?check_every:int ->
-  Dd_util.Prng.t ->
-  Graph.t ->
-  target_var:Graph.var ->
-  target_prob:float ->
-  int option
-(** Number of sweeps until the running-mean estimate of [target_var]'s
-    marginal stays within [tolerance] (default 0.01) of [target_prob];
-    [None] if [max_sweeps] (default 100_000) is exhausted.  Used by the
-    convergence experiments of Figure 13. *)
+(** Redraw [v] from {!conditional_true_prob}. *)

@@ -51,29 +51,6 @@ let weight_affected_factors change =
       change.graph;
     !out
 
-(* Energy of a factor under an explicit weight value: factor energies are
-   linear in the weight, with a unit probe when the current weight is 0. *)
-let energy_under_weight g f lookup target_weight =
-  let current = Graph.weight_value g f.Graph.weight_id in
-  if current <> 0.0 then Graph.factor_energy g f lookup /. current *. target_weight
-  else begin
-    Graph.set_weight g f.Graph.weight_id 1.0;
-    let unit_energy = Graph.factor_energy g f lookup in
-    Graph.set_weight g f.Graph.weight_id current;
-    unit_energy *. target_weight
-  end
-
-let prefix_energy_under_weight g f lookup old_bodies target_weight =
-  let current = Graph.weight_value g f.Graph.weight_id in
-  if current <> 0.0 then
-    Graph.factor_energy_prefix g f lookup old_bodies /. current *. target_weight
-  else begin
-    Graph.set_weight g f.Graph.weight_id 1.0;
-    let unit_energy = Graph.factor_energy_prefix g f lookup old_bodies in
-    Graph.set_weight g f.Graph.weight_id current;
-    unit_energy *. target_weight
-  end
-
 let delta_log_weight change assignment =
   let g = change.graph in
   let lookup v = assignment.(v) in
@@ -105,7 +82,9 @@ let delta_log_weight change assignment =
         (fun acc (i, old_bodies) ->
           let f = Graph.factor g i in
           let now = Graph.factor_energy g f lookup in
-          let before = prefix_energy_under_weight g f lookup old_bodies (old_weight f) in
+          let before =
+            Graph.factor_energy_at ~weight:(old_weight f) ~bodies:old_bodies f lookup
+          in
           acc +. now -. before)
         0.0 change.extended_factors
     in
@@ -114,7 +93,7 @@ let delta_log_weight change assignment =
         (fun acc (i, old_value) ->
           let f = Graph.factor g i in
           let now = Graph.factor_energy g f lookup in
-          let before = energy_under_weight g f lookup old_value in
+          let before = Graph.factor_energy_at ~weight:old_value f lookup in
           acc +. now -. before)
         0.0 (weight_affected_factors change)
     in

@@ -66,8 +66,9 @@ let run ?(options = Engine.default_options) ?semantics ?(skip_rerun = false) cor
               rng
               (Grounding.graph rerun_grounding);
             let rerun_marginals =
-              Dd_inference.Gibbs.marginals ~burn_in:options.Engine.burn_in rng
-                (Grounding.graph rerun_grounding) ~sweeps:options.Engine.inference_chain
+              Dd_inference.Compiled.marginals ~burn_in:options.Engine.burn_in rng
+                (Dd_inference.Compiled.compile (Grounding.graph rerun_grounding))
+                ~sweeps:options.Engine.inference_chain
             in
             let seconds = Timer.elapsed_s timer in
             let f1 =

@@ -1,8 +1,9 @@
 (* Tests for the compiled flat (CSR) factor-graph kernel: bit-exactness
-   against the legacy pointer-chasing sampler per (seed, graph), agreement
-   with exact marginals, refresh_weights-vs-recompile equivalence, dense
-   gradient agreement with the legacy feature counter, and the engine's
-   kernel cache across incremental steps. *)
+   against the legacy naive pointer-graph sampler (the [dd_oracle] test
+   library) per (seed, graph), agreement with exact marginals,
+   refresh_weights-vs-recompile equivalence, dense gradient agreement with
+   the legacy feature counter, and the engine's kernel cache across
+   incremental steps. *)
 
 module Value = Dd_relational.Value
 module Schema = Dd_relational.Schema
@@ -13,9 +14,8 @@ module Graph = Dd_fgraph.Graph
 module Semantics = Dd_fgraph.Semantics
 module Exact = Dd_fgraph.Exact
 module Voting = Dd_fgraph.Voting
-module Gibbs = Dd_inference.Gibbs
+module Gibbs = Dd_oracle.Naive_gibbs
 module Compiled = Dd_inference.Compiled
-module Fast_gibbs = Dd_inference.Fast_gibbs
 module Learner = Dd_inference.Learner
 module Program = Dd_core.Program
 module Grounding = Dd_core.Grounding
@@ -24,8 +24,8 @@ module Prng = Dd_util.Prng
 module Stats = Dd_util.Stats
 
 (* Random mixed graphs: unary biases on every variable plus multi-body
-   factors with random heads, negation, and semantics — the same shape as
-   the Fast_gibbs equivalence tests, parameterized by seed. *)
+   factors with random heads, negation, and semantics, parameterized by
+   seed. *)
 let mixed_graph ?(learnable = false) seed =
   let rng = Prng.create seed in
   let g = Graph.create () in
@@ -62,47 +62,63 @@ let mixed_graph ?(learnable = false) seed =
   done;
   g
 
-(* --- bit-exactness vs the legacy sampler --------------------------------------- *)
+(* --- bit-exactness vs the naive oracle sampler ----------------------------------- *)
 
+(* The compiled sweep draws from the PRNG in the naive sweep's order and
+   count, and its conditionals equal the naive ones up to floating-point
+   reassociation, so the two trajectories must agree after every sweep. *)
 let trajectories_identical seed =
   let g = mixed_graph seed in
   let init = Gibbs.init_assignment (Prng.create (1000 + seed)) g in
-  let compiled = Fast_gibbs.create ~init (Prng.create 1) g in
-  let legacy = Fast_gibbs.create_legacy ~init:(Array.copy init) (Prng.create 1) g in
-  let rng_c = Prng.create (2000 + seed) and rng_l = Prng.create (2000 + seed) in
+  let compiled = Compiled.make_state ~init (Prng.create 1) (Compiled.compile g) in
+  let naive = Array.copy init in
+  let rng_c = Prng.create (2000 + seed) and rng_n = Prng.create (2000 + seed) in
   let ok = ref true in
   for _ = 1 to 30 do
-    Fast_gibbs.sweep rng_c compiled;
-    Fast_gibbs.sweep rng_l legacy;
-    if Fast_gibbs.assignment compiled <> Fast_gibbs.assignment legacy then ok := false
+    Compiled.sweep rng_c compiled;
+    Gibbs.sweep rng_n g naive;
+    if Compiled.snapshot compiled <> naive then ok := false
   done;
-  (* Conditionals must also be bit-identical floats, not merely close. *)
   for v = 0 to Graph.num_vars g - 1 do
-    if Fast_gibbs.conditional_true_prob compiled v
-       <> Fast_gibbs.conditional_true_prob legacy v
-    then ok := false
+    let c = Compiled.conditional_true_prob compiled v in
+    if abs_float (c -. Gibbs.conditional_true_prob g naive v) > 1e-9 then ok := false
   done;
   !ok
 
 let test_bit_exact_vs_legacy () =
   for seed = 0 to 24 do
     if not (trajectories_identical seed) then
-      Alcotest.failf "seed %d: compiled and legacy samplers diverged" seed
+      Alcotest.failf "seed %d: compiled and naive samplers diverged" seed
   done
 
 let test_same_rng_consumption () =
   (* Both samplers must draw the same count from their stream: after the
-     same number of sweeps, identical clones of a third RNG stay in step. *)
+     same number of sweeps, the two streams stay in step. *)
   let g = mixed_graph 5 in
   let init = Gibbs.init_assignment (Prng.create 3) g in
-  let rng_c = Prng.create 77 and rng_l = Prng.create 77 in
-  let compiled = Fast_gibbs.create ~init rng_c g in
-  let legacy = Fast_gibbs.create_legacy ~init:(Array.copy init) rng_l g in
+  let rng_c = Prng.create 77 and rng_n = Prng.create 77 in
+  let compiled = Compiled.make_state ~init rng_c (Compiled.compile g) in
+  let naive = Array.copy init in
   for _ = 1 to 10 do
-    Fast_gibbs.sweep rng_c compiled;
-    Fast_gibbs.sweep rng_l legacy
+    Compiled.sweep rng_c compiled;
+    Gibbs.sweep rng_n g naive
   done;
-  Alcotest.(check bool) "streams in step" true (Prng.bool rng_c = Prng.bool rng_l)
+  Alcotest.(check bool) "streams in step" true (Prng.bool rng_c = Prng.bool rng_n)
+
+(* [Compiled.sample_worlds] is the store [Materialize.materialize] keeps at
+   [domains = 1]; it must be the naive sampler's store world for world,
+   burn-in, spacing and the initial draw included. *)
+let test_sample_worlds_vs_naive () =
+  List.iter
+    (fun (seed, burn_in, spacing) ->
+      let g = mixed_graph seed in
+      let compiled =
+        Compiled.sample_worlds ~burn_in ~spacing (Prng.create (3000 + seed)) (Compiled.compile g)
+          ~n:40
+      in
+      let naive = Gibbs.sample_worlds ~burn_in ~spacing (Prng.create (3000 + seed)) g ~n:40 in
+      if compiled <> naive then Alcotest.failf "seed %d: sample stores differ" seed)
+    [ (0, 10, 1); (1, 0, 1); (2, 5, 3); (3, 20, 2); (4, 10, 1); (5, 1, 4) ]
 
 (* --- agreement with exact marginals -------------------------------------------- *)
 
@@ -321,6 +337,7 @@ let () =
         [
           Alcotest.test_case "trajectories vs legacy" `Quick test_bit_exact_vs_legacy;
           Alcotest.test_case "rng consumption" `Quick test_same_rng_consumption;
+          Alcotest.test_case "sample worlds vs naive oracle" `Quick test_sample_worlds_vs_naive;
         ] );
       ( "exact",
         [

@@ -4,10 +4,10 @@
 module Graph = Dd_fgraph.Graph
 module Semantics = Dd_fgraph.Semantics
 module Exact = Dd_fgraph.Exact
-module Gibbs = Dd_inference.Gibbs
+module Gibbs = Dd_oracle.Naive_gibbs
 module Metropolis = Dd_inference.Metropolis
 module Learner = Dd_inference.Learner
-module Fast_gibbs = Dd_inference.Fast_gibbs
+module Compiled = Dd_inference.Compiled
 module Prng = Dd_util.Prng
 module Stats = Dd_util.Stats
 
@@ -412,44 +412,44 @@ let mixed_graph seed =
   done;
   g
 
-let test_fast_gibbs_conditionals_match () =
-  (* The cached sampler's conditional must agree with the plain sampler's
-     for every variable under many random assignments. *)
+let test_compiled_conditionals_match () =
+  (* The compiled kernel's counter-based conditional must agree with the
+     naive sampler's for every variable under many random assignments. *)
   for seed = 0 to 9 do
     let g = mixed_graph seed in
     let rng = Prng.create (100 + seed) in
     for _ = 1 to 10 do
       let a = Gibbs.init_assignment rng g in
-      let fast = Fast_gibbs.create ~init:a (Prng.copy rng) g in
+      let st = Compiled.make_state ~init:a (Prng.copy rng) (Compiled.compile g) in
       for v = 0 to Graph.num_vars g - 1 do
         let plain = Gibbs.conditional_true_prob g a v in
-        let cached = Fast_gibbs.conditional_true_prob fast v in
-        if abs_float (plain -. cached) > 1e-9 then
-          Alcotest.failf "seed %d var %d: plain %.12f fast %.12f" seed v plain cached
+        let compiled = Compiled.conditional_true_prob st v in
+        if abs_float (plain -. compiled) > 1e-9 then
+          Alcotest.failf "seed %d var %d: plain %.12f compiled %.12f" seed v plain compiled
       done
     done
   done
 
-let test_fast_gibbs_identical_chain () =
+let test_compiled_identical_chain () =
   (* Same PRNG stream -> bit-identical trajectories. *)
   let g = mixed_graph 42 in
   let init = Gibbs.init_assignment (Prng.create 7) g in
   let a = Array.copy init in
-  let rng_plain = Prng.create 8 and rng_fast = Prng.create 8 in
-  let fast = Fast_gibbs.create ~init (Prng.create 9) g in
+  let rng_plain = Prng.create 8 and rng_compiled = Prng.create 8 in
+  let st = Compiled.make_state ~init (Prng.create 9) (Compiled.compile g) in
   for _ = 1 to 50 do
     Gibbs.sweep rng_plain g a;
-    Fast_gibbs.sweep rng_fast fast
+    Compiled.sweep rng_compiled st
   done;
-  Alcotest.(check bool) "same trajectory" true (a = Fast_gibbs.assignment fast)
+  Alcotest.(check bool) "same trajectory" true (a = Compiled.snapshot st)
 
-let test_fast_gibbs_marginals_match_exact () =
+let test_compiled_marginals_match_exact () =
   let g = mixed_graph 3 in
-  let m = Fast_gibbs.marginals ~burn_in:100 (Prng.create 10) g ~sweeps:20_000 in
+  let m = Compiled.marginals ~burn_in:100 (Prng.create 10) (Compiled.compile g) ~sweeps:20_000 in
   let exact = Dd_fgraph.Exact.marginals g in
   Alcotest.(check bool) "within 3%" true (Stats.max_abs_diff m exact < 0.03)
 
-let test_fast_gibbs_voting_fast () =
+let test_compiled_voting_fast () =
   (* The whole point: a voting factor with 500 bodies costs O(1) per vote
      update instead of O(n).  Just check it converges on a mid-size
      instance within a modest wall-clock. *)
@@ -457,13 +457,14 @@ let test_fast_gibbs_voting_fast () =
   let graph, q, _, _ = Dd_fgraph.Voting.build cfg in
   let exact = Dd_fgraph.Voting.exact_marginal_q cfg in
   match
-    Fast_gibbs.sweeps_to_converge ~tolerance:0.02 ~max_sweeps:20_000 (Prng.create 11) graph
+    Compiled.sweeps_to_converge ~tolerance:0.02 ~max_sweeps:20_000 (Prng.create 11)
+      (Compiled.compile graph)
       ~target_var:q ~target_prob:exact
   with
   | Some _ -> ()
   | None -> Alcotest.fail "did not converge"
 
-let test_fast_gibbs_rejects_duplicate_literal () =
+let test_compiled_rejects_duplicate_literal () =
   let g = Graph.create () in
   let a = Graph.add_var g in
   let w = Graph.add_weight g 1.0 in
@@ -476,7 +477,7 @@ let test_fast_gibbs_rejects_duplicate_literal () =
          semantics = Semantics.Logical;
        });
   Alcotest.(check bool) "rejected" true
-    (match Fast_gibbs.create (Prng.create 12) g with
+    (match Compiled.compile g with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
@@ -534,6 +535,85 @@ let test_map_schedule_monotone () =
 
 (* --- qcheck -------------------------------------------------------------------- *)
 
+(* A random update for the [delta_log_weight] property: a base graph
+   (some weights exactly 0.0), then under an open journal some weights
+   move (to and from 0.0), some factors gain bodies, and new variables and
+   factors arrive.  Also returns the pre-change counterpart built from
+   scratch: old weights, old body prefixes, no new factors. *)
+let random_change seed =
+  let rng = Prng.create seed in
+  let random_weight () =
+    if Prng.int_below rng 3 = 0 then 0.0 else Prng.float_range rng (-2.0) 2.0
+  in
+  let g = Graph.create () in
+  let n = 4 + Prng.int_below rng 4 in
+  ignore (Graph.add_vars g n);
+  let random_body nv =
+    let a = Prng.int_below rng nv and b = Prng.int_below rng nv in
+    if a = b then [| lit ~negated:(Prng.bool rng) a |]
+    else [| lit ~negated:(Prng.bool rng) a; lit ~negated:(Prng.bool rng) b |]
+  in
+  let random_factor nv w =
+    {
+      Graph.head = (if Prng.bool rng then Some (Prng.int_below rng nv) else None);
+      bodies = Array.init (1 + Prng.int_below rng 3) (fun _ -> random_body nv);
+      weight_id = w;
+      semantics = Prng.choice rng [| Semantics.Linear; Semantics.Logical; Semantics.Ratio |];
+    }
+  in
+  let nw = 3 + Prng.int_below rng 3 in
+  for _ = 1 to nw do
+    ignore (Graph.add_weight g (random_weight ()))
+  done;
+  for _ = 1 to 4 + Prng.int_below rng 5 do
+    ignore (Graph.add_factor g (random_factor n (Prng.int_below rng nw)))
+  done;
+  let base_factors = Graph.num_factors g in
+  let old_weights = Array.init nw (Graph.weight_value g) in
+  let old_bodies = Array.init base_factors (fun i -> (Graph.factor g i).Graph.bodies) in
+  let journal = Graph.journal_begin g in
+  let changed_weights = ref [] in
+  for w = 0 to nw - 1 do
+    if Prng.bool rng then begin
+      changed_weights := (w, old_weights.(w)) :: !changed_weights;
+      Graph.set_weight g w (random_weight ())
+    end
+  done;
+  let new_vars = List.init (Prng.int_below rng 3) (fun _ -> Graph.add_var g) in
+  let nv = Graph.num_vars g in
+  let extended = ref [] in
+  for i = 0 to base_factors - 1 do
+    if Prng.int_below rng 3 = 0 then begin
+      extended := (i, Array.length old_bodies.(i)) :: !extended;
+      Graph.extend_factor g i (Array.init (1 + Prng.int_below rng 2) (fun _ -> random_body nv))
+    end
+  done;
+  let new_factor_ids =
+    List.init (Prng.int_below rng 3) (fun _ ->
+        let w =
+          if Prng.bool rng then Prng.int_below rng nw else Graph.add_weight g (random_weight ())
+        in
+        Graph.add_factor g (random_factor nv w))
+  in
+  let change =
+    {
+      Metropolis.graph = g;
+      new_factor_ids;
+      extended_factors = !extended;
+      changed_weights = !changed_weights;
+      new_vars;
+      evidence_changes = [];
+    }
+  in
+  let old_graph = Graph.create () in
+  ignore (Graph.add_vars old_graph nv);
+  Array.iter (fun w -> ignore (Graph.add_weight old_graph w)) old_weights;
+  for i = 0 to base_factors - 1 do
+    ignore (Graph.add_factor old_graph { (Graph.factor g i) with Graph.bodies = old_bodies.(i) })
+  done;
+  let worlds = Array.init 8 (fun _ -> Array.init nv (fun _ -> Prng.bool rng)) in
+  (g, change, old_graph, journal, worlds)
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -557,6 +637,23 @@ let qcheck_tests =
         ignore (Graph.unary g ~weight:w a);
         let m = Gibbs.marginals ~burn_in:50 (Prng.create 31) g ~sweeps:8000 in
         abs_float (m.(a) -. Stats.sigmoid weight) < 0.05);
+    Test.make ~name:"delta_log_weight equals from-scratch energy difference" ~count:200 small_int
+      (fun seed ->
+        let g, change, old_graph, journal, worlds = random_change seed in
+        let weights_before = Array.init (Graph.num_weights g) (Graph.weight_value g) in
+        let entries_before = Graph.journal_length journal in
+        let agrees =
+          Array.for_all
+            (fun world ->
+              let lookup v = world.(v) in
+              let expected = Graph.total_energy g lookup -. Graph.total_energy old_graph lookup in
+              let got = Metropolis.delta_log_weight change world in
+              abs_float (got -. expected) <= 1e-9 *. (1.0 +. abs_float expected))
+            worlds
+        in
+        agrees
+        && Array.init (Graph.num_weights g) (Graph.weight_value g) = weights_before
+        && Graph.journal_length journal = entries_before);
     Test.make ~name:"delta_log_weight of unchanged is 0" ~count:50 small_int (fun seed ->
         let g = small_graph () in
         let rng = Prng.create seed in
@@ -592,13 +689,13 @@ let () =
           Alcotest.test_case "acceptance vs change size" `Quick test_acceptance_decreases_with_change;
           Alcotest.test_case "acceptance probe" `Quick test_acceptance_probe;
         ] );
-      ( "fast_gibbs",
+      ( "compiled",
         [
-          Alcotest.test_case "conditionals match" `Quick test_fast_gibbs_conditionals_match;
-          Alcotest.test_case "identical chain" `Quick test_fast_gibbs_identical_chain;
-          Alcotest.test_case "marginals vs exact" `Slow test_fast_gibbs_marginals_match_exact;
-          Alcotest.test_case "voting converges fast" `Slow test_fast_gibbs_voting_fast;
-          Alcotest.test_case "duplicate literal" `Quick test_fast_gibbs_rejects_duplicate_literal;
+          Alcotest.test_case "conditionals match" `Quick test_compiled_conditionals_match;
+          Alcotest.test_case "identical chain" `Quick test_compiled_identical_chain;
+          Alcotest.test_case "marginals vs exact" `Slow test_compiled_marginals_match_exact;
+          Alcotest.test_case "voting converges fast" `Slow test_compiled_voting_fast;
+          Alcotest.test_case "duplicate literal" `Quick test_compiled_rejects_duplicate_literal;
         ] );
       ( "learner",
         [

@@ -8,8 +8,7 @@ module Graph = Dd_fgraph.Graph
 module Semantics = Dd_fgraph.Semantics
 module Exact = Dd_fgraph.Exact
 module Voting = Dd_fgraph.Voting
-module Gibbs = Dd_inference.Gibbs
-module Fast_gibbs = Dd_inference.Fast_gibbs
+module Gibbs = Dd_oracle.Naive_gibbs
 module Partition = Dd_parallel.Partition
 module Pool = Dd_parallel.Pool
 module Range = Dd_parallel.Range
@@ -196,7 +195,9 @@ let test_seq_marginals_bit_identical () =
   for seed = 0 to 4 do
     let g = random_graph seed in
     let a = Par_gibbs.marginals ~burn_in:15 ~domains:1 (Prng.create (50 + seed)) g ~sweeps:80 in
-    let b = Fast_gibbs.marginals ~burn_in:15 (Prng.create (50 + seed)) g ~sweeps:80 in
+    let b =
+      Compiled.marginals ~burn_in:15 (Prng.create (50 + seed)) (Compiled.compile g) ~sweeps:80
+    in
     Alcotest.(check bool) (Printf.sprintf "seed %d identical" seed) true (a = b)
   done
 
@@ -208,7 +209,7 @@ let test_seq_sample_worlds_bit_identical () =
 
 let test_seq_materialize_bit_identical () =
   (* The engine's default path must not move: materialize with the
-     [domains] argument at 1 equals the historical sequential draw. *)
+     [domains] argument at 1 equals the naive sequential draw. *)
   let g = random_graph 13 in
   let a = (Materialize.materialize ~n_samples:40 ~with_variational:false (Prng.create 61) g).Materialize.samples in
   let b = Gibbs.sample_worlds ~burn_in:20 (Prng.create 61) g ~n:40 in
@@ -314,7 +315,7 @@ let test_par_fig_kbc_agreement () =
     ~options:{ Dd_inference.Learner.default_cd with Dd_inference.Learner.epochs = 10 }
     (Prng.create 80) g;
   let sweeps = 2500 in
-  let seq = Fast_gibbs.marginals ~burn_in:50 (Prng.create 81) g ~sweeps in
+  let seq = Compiled.marginals ~burn_in:50 (Prng.create 81) (Compiled.compile g) ~sweeps in
   let par = Par_gibbs.marginals ~burn_in:50 ~domains:3 (Prng.create 81) g ~sweeps in
   let agreement =
     Quality.compare_marginals

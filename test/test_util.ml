@@ -284,41 +284,6 @@ let test_uf_bounds_checked () =
   ignore (Union_find.add uf);
   Alcotest.(check int) "added label valid" 2 (Union_find.find uf 2)
 
-(* --- bitvec --------------------------------------------------------------- *)
-
-module Bitvec = Dd_util.Bitvec
-
-let test_bitvec_get_set () =
-  let v = Bitvec.create 20 in
-  Alcotest.(check bool) "starts false" false (Bitvec.get v 13);
-  Bitvec.set v 13 true;
-  Alcotest.(check bool) "set" true (Bitvec.get v 13);
-  Alcotest.(check bool) "neighbors untouched" false (Bitvec.get v 12 || Bitvec.get v 14);
-  Bitvec.set v 13 false;
-  Alcotest.(check bool) "cleared" false (Bitvec.get v 13)
-
-let test_bitvec_roundtrip () =
-  let a = Array.init 37 (fun i -> i mod 3 = 0) in
-  Alcotest.(check bool) "roundtrip" true (Bitvec.to_bool_array (Bitvec.of_bool_array a) = a)
-
-let test_bitvec_byte_size () =
-  Alcotest.(check int) "8 bits, 1 byte" 1 (Bitvec.byte_size (Bitvec.create 8));
-  Alcotest.(check int) "9 bits, 2 bytes" 2 (Bitvec.byte_size (Bitvec.create 9));
-  Alcotest.(check int) "0 bits" 0 (Bitvec.byte_size (Bitvec.create 0))
-
-let test_bitvec_pop_count_equal_copy () =
-  let v = Bitvec.of_bool_array [| true; false; true; true |] in
-  Alcotest.(check int) "popcount" 3 (Bitvec.pop_count v);
-  let c = Bitvec.copy v in
-  Alcotest.(check bool) "equal" true (Bitvec.equal v c);
-  Bitvec.set c 1 true;
-  Alcotest.(check bool) "independent" false (Bitvec.equal v c)
-
-let test_bitvec_bounds () =
-  let v = Bitvec.create 4 in
-  Alcotest.(check bool) "oob rejected" true
-    (match Bitvec.get v 4 with _ -> false | exception Invalid_argument _ -> true)
-
 (* --- table -------------------------------------------------------------- *)
 
 let test_table_render () =
@@ -523,14 +488,6 @@ let () =
           Alcotest.test_case "add grows" `Quick test_uf_add_grows;
           Alcotest.test_case "union across added" `Quick test_uf_union_across_added;
           Alcotest.test_case "bounds checked" `Quick test_uf_bounds_checked;
-        ] );
-      ( "bitvec",
-        [
-          Alcotest.test_case "get/set" `Quick test_bitvec_get_set;
-          Alcotest.test_case "roundtrip" `Quick test_bitvec_roundtrip;
-          Alcotest.test_case "byte size" `Quick test_bitvec_byte_size;
-          Alcotest.test_case "popcount/equal/copy" `Quick test_bitvec_pop_count_equal_copy;
-          Alcotest.test_case "bounds" `Quick test_bitvec_bounds;
         ] );
       ( "table",
         [

@@ -3,7 +3,7 @@
 
 module Graph = Dd_fgraph.Graph
 module Exact = Dd_fgraph.Exact
-module Gibbs = Dd_inference.Gibbs
+module Gibbs = Dd_oracle.Naive_gibbs
 module Covariance = Dd_variational.Covariance
 module Logdet = Dd_variational.Logdet
 module Approx = Dd_variational.Approx
